@@ -1,5 +1,8 @@
 """Noncontiguous access methods: the paper's three contenders + extensions.
 
+Each method compiles a transfer into a :class:`RankPlan` (``plan``); the
+simulator executes that plan and the analytic model prices it.
+
 * :class:`MultipleIO` — one contiguous request per region (Section 3.1).
 * :class:`DataSievingIO` — 32 MB buffered windows, RMW writes (Section 3.2).
 * :class:`ListIO` — native noncontiguous requests, 64 regions per request
@@ -11,7 +14,7 @@
 """
 
 from .api import pvfs_read_list, pvfs_write_list
-from .base import AccessMethod, validate_transfer
+from .base import AccessMethod, ClientCopy, RankPlan, RequestBatch, validate_transfer
 from .datasieve import DataSievingIO
 from .datatype import VectorIO, as_vector
 from .hybrid import HybridIO, cluster_extents
@@ -31,6 +34,9 @@ METHODS = {
 
 __all__ = [
     "AccessMethod",
+    "RankPlan",
+    "RequestBatch",
+    "ClientCopy",
     "MultipleIO",
     "DataSievingIO",
     "ListIO",

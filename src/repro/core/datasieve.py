@@ -20,167 +20,49 @@ from typing import Optional
 import numpy as np
 
 from ..errors import RegionError
-from ..mpi import Communicator
-from ..regions import RegionList, pair_pieces
-from ..pvfs.client import PVFSFile
-from .base import AccessMethod, validate_transfer
+from ..regions import RegionList
+from .base import AccessMethod, ClientCopy, RankPlan, RequestBatch
 
-__all__ = ["DataSievingIO", "sieve_spans"]
-
-
-def sieve_spans(file_regions: RegionList, buffer_size: int):
-    """Plan the contiguous windows a sieving transfer will issue.
-
-    Returns ``(spans, useful)``: the trimmed read/write spans (one per
-    non-empty buffer window, in file order) and the useful byte count in
-    each.  Shared by :class:`DataSievingIO` and the analytic model so the
-    two can never disagree about request counts.
-    """
-    if buffer_size <= 0:
-        raise RegionError("sieve buffer size must be positive")
-    r = file_regions.drop_empty()
-    if not r.is_sorted():
-        raise RegionError("data sieving requires file regions sorted by offset")
-    if r.count == 0:
-        return RegionList.empty(), np.empty(0, np.int64)
-    start, end = r.extent
-    span_off, span_len, useful = [], [], []
-    w0 = start
-    while w0 < end:
-        w1 = min(w0 + buffer_size, end)
-        clipped = r.clip(w0, w1)
-        if clipped.count:
-            lo, hi = clipped.extent
-            span_off.append(lo)
-            span_len.append(hi - lo)
-            useful.append(clipped.total_bytes)
-        w0 = w1
-    return (
-        RegionList(np.array(span_off, np.int64), np.array(span_len, np.int64)),
-        np.array(useful, np.int64),
-    )
+__all__ = ["DataSievingIO"]
 
 
 class DataSievingIO(AccessMethod):
     """Buffered noncontiguous access through large contiguous requests."""
 
     name = "datasieve"
+    waste_counter = "sieve"
 
     def __init__(self, buffer_size: Optional[int] = None) -> None:
         #: None -> use the cluster's configured sieve buffer (paper: 32 MB).
         self.buffer_size = buffer_size
 
-    def _buffer(self, f: PVFSFile) -> int:
-        b = (
-            self.buffer_size
-            if self.buffer_size is not None
-            else f.client.cluster.config.sieve_buffer_size
-        )
-        if b <= 0:
+    def plan(self, kind, mem_regions, file_regions, config) -> RankPlan:
+        """One contiguous request per buffer window, trimmed to the
+        requested bytes it holds (regions crossing a window edge are split);
+        writes pre-read every window with holes and are serialized."""
+        bsize = self.buffer_size if self.buffer_size is not None else config.sieve_buffer_size
+        if bsize <= 0:
             raise RegionError("sieve buffer size must be positive")
-        return b
-
-    @staticmethod
-    def _check_file_regions(file_regions: RegionList, for_write: bool) -> None:
         if not file_regions.is_sorted():
-            raise RegionError(
-                "data sieving requires file regions sorted by offset"
-            )
-        if for_write and not file_regions.is_disjoint():
+            raise RegionError("data sieving requires file regions sorted by offset")
+        if kind == "write" and not file_regions.is_disjoint():
             raise RegionError("data sieving writes require disjoint file regions")
-
-    # ------------------------------------------------------------------
-    def _windows(self, f, memory, mem_regions, file_regions):
-        """Yield per-window work: (read_lo, read_hi, piece arrays).
-
-        Pieces are contiguous in both memory and the file; each window's
-        read span is trimmed to the pieces it actually contains, and pieces
-        crossing a window edge are split.
-        """
-        mem_off, file_off, lengths = pair_pieces(mem_regions, file_regions)
-        if lengths.size == 0:
-            return
-        file_end = file_off + lengths
-        bsize = self._buffer(f)
-        start, end = int(file_off[0]), int(file_end[-1])
-        w0 = start
+        r = file_regions.drop_empty()
+        steps = []
+        one = np.zeros(1, np.int64)
+        w0, end = r.extent
         while w0 < end:
             w1 = min(w0 + bsize, end)
-            # pieces overlapping [w0, w1)
-            first = int(np.searchsorted(file_end, w0, side="right"))
-            last = int(np.searchsorted(file_off, w1, side="left"))
-            if first >= last:
-                w0 = w1
-                continue
-            fo = file_off[first:last].copy()
-            fe = file_end[first:last].copy()
-            mo = mem_off[first:last].copy()
-            # clip boundary-crossing pieces to the window
-            head_trim = np.maximum(w0 - fo, 0)
-            fo += head_trim
-            mo += head_trim
-            fe = np.minimum(fe, w1)
-            ln = fe - fo
-            yield int(fo[0]), int(fe[-1]), mo, fo, ln
+            useful = r.clip(w0, w1)
             w0 = w1
-
-    # ------------------------------------------------------------------
-    def read(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        self._check_file_regions(file_regions, for_write=False)
-        sim = f.client.sim
-        useful = 0
-        fetched = 0
-        for lo, hi, mo, fo, ln in self._windows(f, memory, mem_regions, file_regions):
-            data = yield from f.read(lo, hi - lo)
-            nbytes = int(ln.sum())
-            useful += nbytes
-            fetched += hi - lo
-            extract = self._memcpy_time(f, nbytes)
-            if extract > 0:
-                yield sim.timeout(extract)
-            if memory is not None and data is not None:
-                for m, x, n in zip(mo.tolist(), fo.tolist(), ln.tolist()):
-                    memory[m : m + n] = data[x - lo : x - lo + n]
-        f.client.scope.add("sieve_fetched_bytes", fetched)
-        f.client.scope.add("sieve_wasted_bytes", fetched - useful)
-
-    def write(self, f: PVFSFile, memory, mem_regions, file_regions):
-        """Read-modify-write.  UNSAFE under concurrency — wrap with
-        :meth:`serialized_write` when several clients target one file."""
-        validate_transfer(memory, mem_regions, file_regions)
-        self._check_file_regions(file_regions, for_write=True)
-        sim = f.client.sim
-        move = f.client.move_bytes
-        for lo, hi, mo, fo, ln in self._windows(f, memory, mem_regions, file_regions):
-            span = hi - lo
-            covered = int(ln.sum())
-            if covered < span:
-                # Holes inside the window: fetch existing bytes first.
-                data = yield from f.read(lo, span)
-            else:
-                data = np.empty(span, dtype=np.uint8) if move else None
-            overlay = self._memcpy_time(f, covered)
-            if overlay > 0:
-                yield sim.timeout(overlay)
-            if memory is not None and data is not None:
-                for m, x, n in zip(mo.tolist(), fo.tolist(), ln.tolist()):
-                    data[x - lo : x - lo + n] = memory[m : m + n]
-            yield from f.write(lo, data, length=span)
-            f.client.scope.add("sieve_rmw_bytes", span - covered)
-
-    def serialized_write(
-        self,
-        comm: Communicator,
-        rank: int,
-        f: PVFSFile,
-        memory,
-        mem_regions: RegionList,
-        file_regions: RegionList,
-    ):
-        """The paper's barrier loop: in each round exactly one rank writes,
-        then everybody synchronizes (Section 4.3.1)."""
-        for turn in range(comm.size):
-            if turn == rank:
-                yield from self.write(f, memory, mem_regions, file_regions)
-            yield comm.barrier()
+            if not useful.count:
+                continue
+            lo, hi = useful.extent
+            span, n = RegionList.single(lo, hi - lo), useful.total_bytes
+            if kind == "read":
+                steps += [RequestBatch("read", span, one, useful=useful), ClientCopy(n)]
+                continue
+            if n < hi - lo:  # holes inside the window: fetch existing bytes first
+                steps.append(RequestBatch("read", span, one))
+            steps += [ClientCopy(n), RequestBatch("write", span, one, useful=useful)]
+        return RankPlan(kind, steps, r.total_bytes, serialized=kind == "write")

@@ -25,15 +25,10 @@ import numpy as np
 
 from ..errors import RegionError
 from ..regions import RegionList
-from ..pvfs.client import PVFSFile
-from .base import AccessMethod, validate_transfer
+from .base import AccessMethod, RankPlan, single_batch_plan
 from .listio import ListIO
 
 __all__ = ["VectorIO", "as_vector"]
-
-#: A vector descriptor is (file offset, count, blocklen, stride): two
-#: 16-byte trailing-data slots.
-VECTOR_DESCRIPTOR_SLOTS = 2
 
 
 def as_vector(regions: RegionList) -> Optional[Tuple[int, int, int, int]]:
@@ -66,40 +61,16 @@ class VectorIO(AccessMethod):
         #: When True, irregular patterns fall back to list I/O instead of
         #: raising.
         self.fallback = fallback
-        self._list = ListIO()
 
-    def _vector_or_fallback(self, file_regions: RegionList):
-        vec = as_vector(file_regions)
-        if vec is None and not self.fallback:
-            raise RegionError(
-                "VectorIO requires a regular (constant length, constant "
-                "stride) file access pattern; use fallback=True to degrade "
-                "to list I/O"
-            )
-        return vec
-
-    def read(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        if self._vector_or_fallback(file_regions) is None:
-            yield from self._list.read(f, memory, mem_regions, file_regions)
-            return
-        stream = yield from f.read_described(
-            file_regions, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS
-        )
-        unpack = self._memcpy_time(f, file_regions.total_bytes)
-        if unpack > 0:
-            yield f.client.sim.timeout(unpack)
-        self._scatter_memory(memory, mem_regions, stream)
-
-    def write(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        if self._vector_or_fallback(file_regions) is None:
-            yield from self._list.write(f, memory, mem_regions, file_regions)
-            return
-        stream = self._gather_memory(memory, mem_regions)
-        pack = self._memcpy_time(f, file_regions.total_bytes)
-        if pack > 0:
-            yield f.client.sim.timeout(pack)
-        yield from f.write_described(
-            file_regions, stream, descriptor_slots=VECTOR_DESCRIPTOR_SLOTS
-        )
+    def plan(self, kind, mem_regions, file_regions, config) -> RankPlan:
+        if as_vector(file_regions) is None:
+            if not self.fallback:
+                raise RegionError(
+                    "VectorIO requires a regular (constant length, constant "
+                    "stride) file access pattern; use fallback=True to degrade "
+                    "to list I/O"
+                )
+            return ListIO().plan(kind, mem_regions, file_regions, config)
+        regions = file_regions.drop_empty()
+        chunks = np.zeros(regions.count, dtype=np.int64)
+        return single_batch_plan(kind, regions, chunks, copy=True, wire_mode="descriptor")

@@ -23,15 +23,11 @@ I/O on coalesced regions.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import RegionError
-from ..mpi import Communicator
-from ..regions import RegionList, build_flat_indices
-from ..pvfs.client import PVFSFile
-from .base import AccessMethod, validate_transfer
+from ..regions import RegionList
+from .base import AccessMethod, ClientCopy, RankPlan, RequestBatch
 
 __all__ = ["HybridIO", "cluster_extents"]
 
@@ -59,82 +55,27 @@ class HybridIO(AccessMethod):
     """List I/O over sieved extents."""
 
     name = "hybrid"
+    waste_counter = "hybrid"
 
     def __init__(self, gap_threshold: int = 4096) -> None:
         if gap_threshold < 0:
             raise RegionError("gap_threshold must be non-negative")
         self.gap_threshold = gap_threshold
 
-    # ------------------------------------------------------------------
-    def _plan(self, file_regions: RegionList) -> Tuple[RegionList, np.ndarray]:
+    def plan(self, kind, mem_regions, file_regions, config) -> RankPlan:
+        """List requests over the extents; a write whose extents hold gaps
+        pre-reads them all first and is serialized."""
         if not file_regions.is_sorted():
             raise RegionError("hybrid I/O requires file regions sorted by offset")
-        extents = cluster_extents(file_regions, self.gap_threshold)
-        # Positions of every requested byte inside the extents' byte stream.
-        ext_stream_base = np.concatenate(([0], np.cumsum(extents.lengths)[:-1]))
-        return extents, ext_stream_base
-
-    def _region_positions_in_extents(
-        self, file_regions: RegionList, extents: RegionList, base: np.ndarray
-    ) -> np.ndarray:
-        """Flat indices of the requested bytes within the extent stream."""
-        r = file_regions.drop_empty()
-        which = np.searchsorted(extents.offsets, r.offsets, side="right") - 1
-        start_in_stream = base[which] + (r.offsets - extents.offsets[which])
-        return build_flat_indices(start_in_stream, r.lengths)
-
-    # ------------------------------------------------------------------
-    def read(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
         if not file_regions.is_disjoint():
             raise RegionError("hybrid I/O requires disjoint file regions")
-        extents, base = self._plan(file_regions)
-        ext_stream = yield from f.read_list(extents)
-        useful = file_regions.total_bytes
-        unpack = self._memcpy_time(f, useful)
-        if unpack > 0:
-            yield f.client.sim.timeout(unpack)
-        if memory is not None and ext_stream is not None:
-            idx = self._region_positions_in_extents(file_regions, extents, base)
-            self._scatter_memory(memory, mem_regions, ext_stream[idx])
-        f.client.scope.add("hybrid_fetched_bytes", extents.total_bytes)
-        f.client.scope.add("hybrid_wasted_bytes", extents.total_bytes - useful)
-
-    def write(self, f: PVFSFile, memory, mem_regions, file_regions):
-        """RMW only on extents that contain gaps; needs external
-        serialization when several clients write one file concurrently."""
-        validate_transfer(memory, mem_regions, file_regions)
-        if not file_regions.is_disjoint():
-            raise RegionError("hybrid I/O requires disjoint file regions")
-        extents, base = self._plan(file_regions)
-        has_gaps = extents.total_bytes > file_regions.total_bytes
-        move = f.client.move_bytes
-        if has_gaps:
-            ext_stream = yield from f.read_list(extents)
-        else:
-            ext_stream = (
-                np.empty(extents.total_bytes, dtype=np.uint8) if move else None
-            )
-        pack = self._memcpy_time(f, file_regions.total_bytes)
-        if pack > 0:
-            yield f.client.sim.timeout(pack)
-        if memory is not None and ext_stream is not None:
-            idx = self._region_positions_in_extents(file_regions, extents, base)
-            ext_stream[idx] = self._gather_memory(memory, mem_regions)
-        yield from f.write_list(extents, ext_stream)
-        f.client.scope.add("hybrid_rmw_bytes", extents.total_bytes - file_regions.total_bytes if has_gaps else 0)
-
-    def serialized_write(
-        self,
-        comm: Communicator,
-        rank: int,
-        f: PVFSFile,
-        memory,
-        mem_regions: RegionList,
-        file_regions: RegionList,
-    ):
-        """Barrier-serialized variant for concurrent RMW writers."""
-        for turn in range(comm.size):
-            if turn == rank:
-                yield from self.write(f, memory, mem_regions, file_regions)
-            yield comm.barrier()
+        useful = file_regions.drop_empty()
+        extents = cluster_extents(useful, self.gap_threshold)
+        chunks = np.arange(extents.count, dtype=np.int64) // config.list_io_max_regions
+        batch = RequestBatch(kind, extents, chunks, useful=useful)
+        copy = ClientCopy(useful.total_bytes)
+        if kind == "read":
+            return RankPlan(kind, [batch, copy], useful.total_bytes)
+        rmw = extents.total_bytes > useful.total_bytes
+        pre = [RequestBatch("read", extents, chunks)] if rmw else []
+        return RankPlan(kind, pre + [copy, batch], useful.total_bytes, serialized=rmw)

@@ -24,11 +24,10 @@ accounting.  EXPERIMENTS.md reports both.
 
 from __future__ import annotations
 
-
+import numpy as np
 
 from ..regions import RegionList, pair_pieces
-from ..pvfs.client import PVFSFile
-from .base import AccessMethod, validate_transfer
+from .base import AccessMethod, RankPlan, single_batch_plan
 
 __all__ = ["ListIO"]
 
@@ -41,34 +40,11 @@ class ListIO(AccessMethod):
     def __init__(self, split_memory_regions: bool = True) -> None:
         self.split_memory_regions = split_memory_regions
 
-    def _wire_file_regions(self, mem_regions: RegionList, file_regions: RegionList) -> RegionList:
-        """The file-side region list actually described to PVFS."""
-        if not self.split_memory_regions:
-            return file_regions
-        _, file_off, lengths = pair_pieces(mem_regions, file_regions)
-        return RegionList(file_off, lengths)
-
-    def read(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        wire_regions = self._wire_file_regions(mem_regions, file_regions)
-        stream = yield from f.read_list(wire_regions)
-        unpack = self._memcpy_time(f, file_regions.total_bytes)
-        if unpack > 0:
-            yield f.client.sim.timeout(unpack)
-        self._scatter_memory(memory, mem_regions, stream)
-
-    def write(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        wire_regions = self._wire_file_regions(mem_regions, file_regions)
-        stream = self._gather_memory(memory, mem_regions)
-        pack = self._memcpy_time(f, file_regions.total_bytes)
-        if pack > 0:
-            yield f.client.sim.timeout(pack)
-        yield from f.write_list(wire_regions, stream)
-
-    @staticmethod
-    def request_count(file_regions: RegionList, max_regions: int = 64) -> int:
-        """Logical requests by the paper's file-side formula:
-        ceil(regions / cap) (e.g. FLASH: 1920 regions -> 30 requests)."""
-        n = file_regions.drop_empty().count
-        return -(-n // max_regions) if n else 0
+    def plan(self, kind, mem_regions, file_regions, config) -> RankPlan:
+        if self.split_memory_regions:
+            _, file_off, lengths = pair_pieces(mem_regions, file_regions)
+            regions = RegionList(file_off, lengths)
+        else:
+            regions = file_regions.drop_empty()
+        chunks = np.arange(regions.count, dtype=np.int64) // config.list_io_max_regions
+        return single_batch_plan(kind, regions, chunks, copy=True)

@@ -17,12 +17,11 @@ become the wall.
 
 from __future__ import annotations
 
-
+import numpy as np
 
 from ..errors import ConfigError
 from ..regions import RegionList, pair_pieces
-from ..pvfs.client import PVFSFile
-from .base import AccessMethod, validate_transfer
+from .base import AccessMethod, RankPlan, single_batch_plan
 
 __all__ = ["MultipleIO"]
 
@@ -37,52 +36,13 @@ class MultipleIO(AccessMethod):
             raise ConfigError("pipeline_depth must be >= 1")
         self.pipeline_depth = pipeline_depth
 
-    def _transfer(self, f: PVFSFile, memory, mem_regions, file_regions, kind: str):
-        mem_off, file_off, lengths = pair_pieces(mem_regions, file_regions)
-        pieces = list(zip(mem_off.tolist(), file_off.tolist(), lengths.tolist()))
-        sim = f.client.sim
-
-        if self.pipeline_depth == 1:
-            for mo, fo, ln in pieces:
-                if kind == "read":
-                    data = yield from f.read(fo, ln)
-                    if memory is not None and data is not None:
-                        memory[mo : mo + ln] = data
-                else:
-                    data = memory[mo : mo + ln] if memory is not None else None
-                    yield from f.write(fo, data, length=ln)
-            return
-
-        def one(mo, fo, ln):
-            if kind == "read":
-                data = yield from f.read(fo, ln)
-                if memory is not None and data is not None:
-                    memory[mo : mo + ln] = data
-            else:
-                data = memory[mo : mo + ln] if memory is not None else None
-                yield from f.write(fo, data, length=ln)
-
-        # Sliding window of outstanding nonblocking operations.
-        window = []
-        for piece in pieces:
-            if len(window) >= self.pipeline_depth:
-                oldest = window.pop(0)
-                yield oldest
-            window.append(sim.process(one(*piece)))
-        if window:
-            yield sim.all_of(window)
-
-    def read(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        yield from self._transfer(f, memory, mem_regions, file_regions, "read")
-
-    def write(self, f: PVFSFile, memory, mem_regions, file_regions):
-        validate_transfer(memory, mem_regions, file_regions)
-        yield from self._transfer(f, memory, mem_regions, file_regions, "write")
-
-    @staticmethod
-    def request_count(mem_regions: RegionList, file_regions: RegionList) -> int:
-        """Requests this method will issue for a transfer (for accounting;
-        disk/stripe-level fan-out not included)."""
-        _, _, lengths = pair_pieces(mem_regions, file_regions)
-        return int(lengths.size)
+    def plan(self, kind, mem_regions, file_regions, config) -> RankPlan:
+        _, file_off, lengths = pair_pieces(mem_regions, file_regions)
+        plan = single_batch_plan(
+            kind,
+            RegionList(file_off, lengths),
+            np.arange(lengths.size, dtype=np.int64),
+            copy=False,
+        )
+        plan.depth = self.pipeline_depth
+        return plan

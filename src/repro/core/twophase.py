@@ -70,6 +70,9 @@ class TwoPhaseIO(AccessMethod):
         self.cb_buffer = cb_buffer
 
     # -- the independent interface is deliberately unsupported -----------
+    def plan(self, kind, mem_regions, file_regions, config):
+        raise engine.MPIIOError("two-phase I/O is collective; no single rank has a plan")
+
     def read(self, f, memory, mem_regions, file_regions):
         raise engine.MPIIOError(
             "two-phase I/O is collective; use collective_read with a communicator"

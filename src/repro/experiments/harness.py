@@ -2,13 +2,15 @@
 
 Two engines produce :class:`DataPoint` records with identical accounting:
 
-* :func:`des_point` — builds a full cluster and runs the transfer through
-  the discrete-event simulator (timing-only byte stores);
-* :func:`model_point` — compiles the request plans and evaluates the
-  analytic bound model (used at paper scale).
+* :func:`des_point` — builds a full cluster and executes each rank's
+  :class:`~repro.core.RankPlan` in the discrete-event simulator
+  (timing-only byte stores);
+* :func:`model_point` — prices the same plans with the analytic bound
+  model (used at paper scale).
 
-Both serialize data-sieving / RMW-hybrid writes exactly the way the paper
-does (barrier loop).
+Both take the method's constructor arguments as ``method_opts``.  When
+any rank's plan is ``serialized`` (read-modify-write), both serialize the
+writes the way the paper does (barrier loop).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..config import ClusterConfig
-from ..core import METHODS, DataSievingIO, HybridIO
+from ..core import METHODS
 from ..errors import ConfigError
 from ..mpi import Communicator
 from ..model import predict_pattern
@@ -138,8 +140,11 @@ def des_point(
     if obs is not None:
         obs.attach(cluster)
     method = _make_method(method_name, method_opts)
-    serialize = kind == "write" and isinstance(method, (DataSievingIO, HybridIO))
     collective = getattr(method, "collective", False)
+    plans = [] if collective else [
+        method.plan(kind, a.mem_regions, a.file_regions, cluster.config) for a in pattern.accesses
+    ]
+    serialize = any(p.serialized for p in plans)
     comm = Communicator(cluster.sim, pattern.n_ranks) if serialize or collective else None
     shared: Dict = {}
     phase_times: Dict[str, list] = {"open": [], "transfer": [], "close": []}
@@ -150,22 +155,14 @@ def des_point(
         t0 = sim.now
         f = yield from client.open(path, create=True)
         t1 = sim.now
-        if collective and kind == "read":
-            yield from method.collective_read(
-                comm, client.index, shared, f, None, access.mem_regions, access.file_regions
-            )
-        elif collective:
-            yield from method.collective_write(
-                comm, client.index, shared, f, None, access.mem_regions, access.file_regions
-            )
-        elif kind == "read":
-            yield from method.read(f, None, access.mem_regions, access.file_regions)
-        elif serialize:
-            yield from method.serialized_write(
-                comm, client.index, f, None, access.mem_regions, access.file_regions
-            )
+        if collective:
+            op = method.collective_read if kind == "read" else method.collective_write
+            args = (f, None, access.mem_regions, access.file_regions)
+            yield from op(comm, client.index, shared, *args)
         else:
-            yield from method.write(f, None, access.mem_regions, access.file_regions)
+            yield from method.execute(
+                plans[client.index], f, None, access.mem_regions, comm, client.index
+            )
         t2 = sim.now
         yield from f.close()
         t3 = sim.now
@@ -181,9 +178,9 @@ def des_point(
             f"x={x:g} clients={pattern.n_ranks}",
         )
     counters = result.counters
-    moved = int(
-        counters.get("net.payload_bytes", 0.0)
-    )  # includes headers; refined below
+    # Network payload, request/response headers included; the model's
+    # moved_bytes counts file data only.
+    moved = int(counters.get("net.payload_bytes", 0.0))
     useful = pattern.total_bytes
     point = DataPoint(
         figure=figure,
@@ -214,13 +211,13 @@ def model_point(
     *,
     figure: str = "",
     x: float = 0.0,
-    **plan_opts,
+    method_opts: Optional[dict] = None,
 ) -> DataPoint:
     """Evaluate one benchmark point with the analytic model."""
     cfg = cfg or ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
     if cfg.n_clients != pattern.n_ranks:
         cfg = cfg.with_(n_clients=pattern.n_ranks)
-    pred = predict_pattern(pattern, method_name, kind, cfg, **plan_opts)
+    pred = predict_pattern(pattern, method_name, kind, cfg, **(method_opts or {}))
     return DataPoint(
         figure=figure,
         series=method_name,

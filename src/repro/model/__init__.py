@@ -1,7 +1,7 @@
 """Analytic performance model (paper-scale sweeps without event simulation)."""
 
-from .plan import RankPlan, compile_rank_plan
-from .predict import Prediction, predict_pattern, predict_plans
+from ..core import RankPlan
+from .predict import Prediction, compile_rank_plan, predict_pattern, predict_plans
 from .twophase import crossover_point, predict_twophase
 
 __all__ = [

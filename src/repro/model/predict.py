@@ -13,6 +13,9 @@ takes their maximum (queueing-free bottleneck analysis):
   requests' *unloaded* service time divided by the per-request server
   parallelism.
 
+The plans are the ones the simulator executes (each access method's
+``plan``); the model folds a plan's read and write batches into an RMW
+pre-read phase and a main phase that carries the client-copy bytes.
 Serialized plans (data sieving / hybrid RMW writes) add up client paths
 instead of maxing them, plus a barrier term — matching the paper's
 ``MPI_Barrier()`` loop.
@@ -26,18 +29,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..config import ClusterConfig
+from ..core import METHODS, ClientCopy, RankPlan, RequestBatch
 from ..errors import ModelError
 from ..patterns.base import Pattern
 from ..pvfs.protocol import REQUEST_HEADER_BYTES, RESPONSE_HEADER_BYTES
-from ..regions import split_with_parents
-from .plan import RankPlan, compile_rank_plan
+from ..regions import RegionList, split_with_parents
 
-__all__ = ["Prediction", "predict_pattern", "predict_plans"]
+__all__ = ["Prediction", "compile_rank_plan", "predict_pattern", "predict_plans"]
 
 
 @dataclass
@@ -94,8 +97,36 @@ class _Loads:
         self.client_rx = np.zeros(n_clients)
 
 
+def _merge(kind: str, batches: List[RequestBatch]) -> RequestBatch:
+    """One batch holding ``batches``' regions in order, request ids dense."""
+    if len(batches) == 1:
+        return batches[0]
+    if not batches:
+        return RequestBatch(kind, RegionList.empty(), np.empty(0, np.int64))
+    first = np.cumsum([0] + [b.n_requests for b in batches[:-1]])
+    return RequestBatch(
+        kind,
+        RegionList(
+            np.concatenate([b.regions.offsets for b in batches]),
+            np.concatenate([b.regions.lengths for b in batches]),
+        ),
+        np.concatenate([b.chunk_of_region + k for b, k in zip(batches, first)]),
+        wire_mode=batches[0].wire_mode,
+    )
+
+
+def _phases(plan: RankPlan) -> List[Tuple[RequestBatch, int]]:
+    """``(batch, client-copy bytes)`` per phase: a write plan's read
+    batches (the RMW pre-read) first, then the main batches with every
+    client copy."""
+    pre = [b for b in plan.batches if b.kind != plan.kind]
+    main = [b for b in plan.batches if b.kind == plan.kind]
+    copy = sum(s.nbytes for s in plan.steps if isinstance(s, ClientCopy))
+    return ([(_merge("read", pre), 0)] if pre else []) + [(_merge(plan.kind, main), copy)]
+
+
 def _decompose_phase(
-    phase: RankPlan, rank: int, cfg: ClusterConfig, loads: _Loads
+    phase: RequestBatch, rank: int, cfg: ClusterConfig, loads: _Loads
 ) -> Dict[str, float]:
     """Attribute one phase's load to servers/links; return rank-local stats."""
     pcount = cfg.stripe.resolve_pcount(cfg.n_iods)
@@ -197,9 +228,9 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
     bw = cfg.network.bandwidth
     for rank, plan in enumerate(plans):
         useful += plan.useful_bytes
-        for phase in plan.phases():
+        for phase, copy in _phases(plan):
             stats = _decompose_phase(phase, rank, cfg, loads)
-            moved += phase.moved_bytes
+            moved += phase.regions.total_bytes
             n_req = phase.n_requests
             total_requests += n_req
             total_msgs += int(stats["msgs"])
@@ -211,7 +242,7 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
                 + phase.regions.count * costs.client_region_cost
                 + (stats["req_wire"] + stats["resp_wire"]) / bw
                 + stats["work"] / fanout
-                + phase.pack_bytes / costs.memcpy_rate
+                + copy / costs.memcpy_rate
             )
             if phase.kind == "write":
                 path += n_req * costs.client_write_turnaround
@@ -270,15 +301,33 @@ def _union_extent_bytes(plans: List[RankPlan]) -> float:
     lo, hi = math.inf, 0
     total = 0
     for plan in plans:
-        for phase in plan.phases():
-            if phase.kind != "read" or phase.regions.count == 0:
+        for batch in plan.batches:
+            if batch.kind != "read" or batch.regions.count == 0:
                 continue
-            a, b = phase.regions.extent
+            a, b = batch.regions.extent
             lo, hi = min(lo, a), max(hi, b)
-            total += phase.moved_bytes
+            total += batch.regions.total_bytes
     if hi == 0:
         return 0.0
     return float(min(total, hi - lo))
+
+
+def compile_rank_plan(
+    method: str,
+    kind: str,
+    mem_regions: RegionList,
+    file_regions: RegionList,
+    config: ClusterConfig,
+    **opts,
+) -> RankPlan:
+    """One rank's :class:`RankPlan` from ``METHODS[method](**opts)``."""
+    if kind not in ("read", "write"):
+        raise ModelError(f"bad kind {kind!r}")
+    try:
+        cls = METHODS[method]
+    except KeyError:
+        raise ModelError(f"unknown method {method!r}") from None
+    return cls(**opts).plan(kind, mem_regions, file_regions, config)
 
 
 def predict_pattern(
@@ -286,15 +335,16 @@ def predict_pattern(
     method: str,
     kind: str,
     cfg: ClusterConfig,
-    **plan_opts,
+    **opts,
 ) -> Prediction:
-    """Compile and predict a whole benchmark pattern."""
+    """Compile and predict a whole benchmark pattern; ``opts`` are the
+    method's constructor arguments, as in the simulator."""
     if method == "twophase":
         from .twophase import predict_twophase
 
-        return predict_twophase(pattern, kind, cfg, **plan_opts)
+        return predict_twophase(pattern, kind, cfg, **opts)
     plans = [
-        compile_rank_plan(method, kind, a.mem_regions, a.file_regions, cfg, **plan_opts)
+        compile_rank_plan(method, kind, a.mem_regions, a.file_regions, cfg, **opts)
         for a in pattern.accesses
     ]
     return predict_plans(plans, cfg)

@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ClusterConfig
+from ..core import ListIO
 from ..core.twophase import wire_order
 from ..mpiio.twophase import (
     DATA_HEADER,
@@ -37,7 +38,6 @@ from ..mpiio.twophase import (
 )
 from ..patterns.base import Pattern
 from ..regions import RegionList
-from .plan import RankPlan
 from .predict import Prediction, _wire, predict_plans
 
 __all__ = ["predict_twophase", "crossover_point"]
@@ -65,7 +65,6 @@ def predict_twophase(
     *,
     cb_nodes: Optional[int] = None,
     cb_buffer: Optional[int] = None,
-    **_ignored,
 ) -> Prediction:
     """Predict one two-phase collective transfer over ``pattern``."""
     n = pattern.n_ranks
@@ -76,22 +75,13 @@ def predict_twophase(
         metas[rank] = regions
     domains = partition_file_domains(metas, n, n_agg, cfg.stripe.stripe_size)
     rounds = round_count(domains, cb_buffer)
-    cap = cfg.list_io_max_regions
 
-    # -- file phase: only aggregators touch PVFS -----------------------
+    # -- file phase: only aggregators touch PVFS, through list I/O -------
+    listio = ListIO(split_memory_regions=False)
     plans = []
     for rank in range(n):
         regions = _aggregator_regions(metas, domains, rank, rounds, cb_buffer)
-        plans.append(
-            RankPlan(
-                method="twophase",
-                kind=kind,
-                regions=regions,
-                chunk_of_region=np.arange(regions.count, dtype=np.int64) // cap,
-                useful_bytes=regions.total_bytes,
-                pack_bytes=regions.total_bytes,
-            )
-        )
+        plans.append(listio.plan(kind, RegionList.single(0, regions.total_bytes), regions, cfg))
     file_pred = predict_plans(plans, cfg)
 
     # -- exchange phase: per-rank wire + memcpy critical path ----------

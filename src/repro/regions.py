@@ -543,15 +543,13 @@ def build_flat_indices(offsets: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     indexing operation.
     """
     offsets = _as_int64(offsets)
-    lengths = _as_int64(lengths)
+    lengths = np.maximum(_as_int64(lengths), 0)
     if offsets.shape != lengths.shape:
         raise RegionError("offsets and lengths must have equal shape")
-    mask = lengths > 0
-    offsets, lengths = offsets[mask], lengths[mask]
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, np.int64)
-    reg = np.repeat(np.arange(offsets.size, dtype=np.int64), lengths)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    within = np.arange(total, dtype=np.int64) - starts[reg]
-    return offsets[reg] + within
+    # Byte i of region r sits at offsets[r] + (i - stream start of r).
+    idx = np.repeat(offsets - (np.cumsum(lengths) - lengths), lengths)
+    idx += np.arange(total, dtype=np.int64)
+    return idx

@@ -82,8 +82,8 @@ class PointSpec:
     x: float = 0.0
     #: Override the result's series name (e.g. fig15's ``list-text``).
     series: Optional[str] = None
-    #: Extra options: ``method_opts`` in DES mode, plan options in model
-    #: mode (sorted key/value pairs so the spec stays frozen/hashable).
+    #: The method's constructor arguments, in either mode (sorted
+    #: key/value pairs so the spec stays frozen/hashable).
     opts: Tuple[Tuple[str, Any], ...] = ()
     measure_phases: bool = False
     repeats: int = 1
@@ -100,7 +100,7 @@ class PointSpec:
         from ..experiments.harness import des_point, model_point
 
         pattern = self.build_pattern()
-        opts = dict(self.opts)
+        method_opts = dict(self.opts) or None
         if self.mode == "model":
             point = model_point(
                 pattern,
@@ -109,7 +109,7 @@ class PointSpec:
                 self.cfg,
                 figure=self.figure,
                 x=self.x,
-                **opts,
+                method_opts=method_opts,
             )
         else:
             point = des_point(
@@ -119,7 +119,7 @@ class PointSpec:
                 self.cfg,
                 figure=self.figure,
                 x=self.x,
-                method_opts=opts or None,
+                method_opts=method_opts,
                 measure_phases=self.measure_phases,
                 repeats=self.repeats,
                 obs=obs,

@@ -19,6 +19,15 @@ from repro.pvfs import Cluster
 from repro.regions import RegionList, build_flat_indices
 
 
+CFG = ClusterConfig.chiba_city(n_clients=1)
+
+
+def file_side_list_requests(fil: RegionList) -> int:
+    """The paper's file-side list I/O count: ceil(regions / 64)."""
+    whole = RegionList.single(0, fil.total_bytes)
+    return ListIO(split_memory_regions=False).plan("read", whole, fil, CFG).n_requests
+
+
 def make_cluster(**kw) -> Cluster:
     kw.setdefault("n_clients", 2)
     kw.setdefault("n_iods", 4)
@@ -142,13 +151,13 @@ class TestRequestAccounting:
         mem = RegionList.single(0, 100 * 4)
         fil = RegionList.strided(0, 100, 4, 50)
         assert self.count_requests(MultipleIO(), mem, fil) == 100
-        assert MultipleIO.request_count(mem, fil) == 100
+        assert MultipleIO().plan("read", mem, fil, CFG).n_requests == 100
 
     def test_list_is_ceil_over_cap(self):
         mem = RegionList.single(0, 100 * 4)
         fil = RegionList.strided(0, 100, 4, 50)
         assert self.count_requests(ListIO(), mem, fil) == 2  # ceil(100/64)
-        assert ListIO.request_count(fil) == 2
+        assert file_side_list_requests(fil) == 2
 
     def test_vector_is_single_request(self):
         mem = RegionList.single(0, 100 * 4)
@@ -177,15 +186,15 @@ class TestRequestAccounting:
         # 2 file regions x mismatched memory cuts -> pieces = union of cuts.
         mem = RegionList([0, 100, 200], [30, 30, 20])
         fil = RegionList([0, 500], [40, 40])
-        assert MultipleIO.request_count(mem, fil) == 4
+        assert MultipleIO().plan("write", mem, fil, CFG).n_requests == 4
 
     def test_paper_request_count_formulas(self):
         # FLASH (Section 4.3.1): 1920 file regions -> 30 list requests.
         flash_regions = RegionList.contiguous(0, 1920 * 4096, 4096)
-        assert ListIO.request_count(flash_regions, 64) == 30
+        assert file_side_list_requests(flash_regions) == 30
         # Tiled visualization (Section 4.4.1): 768 regions -> 12 requests.
         tiled = RegionList.contiguous(0, 768 * 1024, 1024)
-        assert ListIO.request_count(tiled, 64) == 12
+        assert file_side_list_requests(tiled) == 12
 
 
 class TestDataSieving:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig
-from repro.errors import ModelError
+from repro.core import RequestBatch
+from repro.errors import ModelError, RegionError
 from repro.model import compile_rank_plan, predict_pattern, predict_plans
-from repro.model.plan import RankPlan
 from repro.patterns import flash_io, one_dim_cyclic, tiled_visualization, FlashConfig
 from repro.regions import RegionList
 from repro.units import MiB
@@ -49,27 +49,28 @@ class TestPlanCompilation:
         mem, fil = simple_transfer(1000)
         plan = compile_rank_plan("vector", "read", mem, fil, CFG)
         assert plan.n_requests == 1
-        assert plan.wire_mode == "descriptor"
+        assert plan.batches[0].wire_mode == "descriptor"
 
     def test_sieve_read_windows(self):
         mem, fil = simple_transfer(100, length=8, stride=64)  # extent 6344 B
-        plan = compile_rank_plan("datasieve", "read", mem, fil, CFG, sieve_buffer=1024)
+        plan = compile_rank_plan("datasieve", "read", mem, fil, CFG, buffer_size=1024)
         assert plan.n_requests == 7  # ceil(6344/1024)
         assert plan.moved_bytes > plan.useful_bytes  # waste counted
         assert not plan.serialized
 
     def test_sieve_write_is_serialized_rmw(self):
         mem, fil = simple_transfer(100)
-        plan = compile_rank_plan("datasieve", "write", mem, fil, CFG, sieve_buffer=1024)
+        plan = compile_rank_plan("datasieve", "write", mem, fil, CFG, buffer_size=1024)
         assert plan.serialized
-        assert plan.pre_read is not None
-        assert len(plan.phases()) == 2
+        # every window: pre-read, overlay, write back
+        assert [b.kind for b in plan.batches[:2]] == ["read", "write"]
+        assert plan.n_requests == 2 * 7
 
     def test_sieve_write_dense_needs_no_preread(self):
         fil = RegionList.single(0, 4096)
         mem = RegionList.single(0, 4096)
         plan = compile_rank_plan("datasieve", "write", mem, fil, CFG)
-        assert plan.pre_read is None
+        assert [b.kind for b in plan.batches] == ["write"]
 
     def test_hybrid_clusters(self):
         fil = RegionList.strided(0, 100, 8, 16)  # 8-byte gaps
@@ -86,14 +87,8 @@ class TestPlanCompilation:
             compile_rank_plan("list", "erase", mem, fil, CFG)
 
     def test_plan_validation(self):
-        with pytest.raises(ModelError):
-            RankPlan(
-                method="list",
-                kind="read",
-                regions=RegionList.single(0, 8),
-                chunk_of_region=np.array([0, 0]),
-                useful_bytes=8,
-            )
+        with pytest.raises(RegionError):
+            RequestBatch("read", RegionList.single(0, 8), np.array([0, 0]))
 
 
 class TestPredictions:

@@ -105,8 +105,10 @@ class TestFlashClaims:
         assert cfg.mem_regions_per_proc == 983_040
         from repro.core import ListIO
 
-        pattern = flash_io(1)
-        assert ListIO.request_count(pattern.rank(0).file_regions, 64) == 30
+        a = flash_io(1).rank(0)
+        file_side = ListIO(split_memory_regions=False)
+        c = ClusterConfig.chiba_city(n_clients=1)
+        assert file_side.plan("write", a.mem_regions, a.file_regions, c).n_requests == 30
         assert cfg.checkpoint_bytes_per_proc == 7_864_320
 
     def test_flash_ordering(self):
@@ -129,8 +131,10 @@ class TestTiledClaims:
         from repro.core import ListIO, MultipleIO
 
         a = pattern.rank(0)
-        assert MultipleIO.request_count(a.mem_regions, a.file_regions) == 768
-        assert ListIO.request_count(a.file_regions, 64) == 12
+        c = ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
+        assert MultipleIO().plan("read", a.mem_regions, a.file_regions, c).n_requests == 768
+        file_side = ListIO(split_memory_regions=False)
+        assert file_side.plan("read", a.mem_regions, a.file_regions, c).n_requests == 12
 
     def test_list_twice_as_fast(self):
         """4.4.2: 'list I/O is able to perform more than twice as well as
