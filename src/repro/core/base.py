@@ -82,6 +82,9 @@ class RequestBatch:
             raise RegionError(f"bad wire_mode {self.wire_mode!r}")
         if len(self.chunk_of_region) != self.regions.count:
             raise RegionError("chunk_of_region must parallel regions")
+        chunks = self.chunk_of_region
+        if chunks.size and (chunks[0] != 0 or np.any(chunks[1:] < chunks[:-1])):
+            raise RegionError("chunk_of_region must be monotone and 0-based")
 
     @property
     def n_requests(self) -> int:

@@ -125,6 +125,33 @@ def _phases(plan: RankPlan) -> List[Tuple[RequestBatch, int]]:
     return ([(_merge("read", pre), 0)] if pre else []) + [(_merge(plan.kind, main), copy)]
 
 
+def _messages(
+    server: np.ndarray, chunk: np.ndarray, n_requests: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group stripe pieces into server messages, one per (server, request).
+
+    Returns ``np.unique(server * n_requests + chunk, return_inverse=True,
+    return_counts=True)`` in linear time: ``chunk`` is non-decreasing (a
+    plan's request ids are monotone and pieces keep their parent's order),
+    so the keys are already sorted within each server and a stable radix
+    sort by server orders them all; messages are the runs of equal key.
+    """
+    key = server * np.int64(n_requests) + chunk
+    if key.size == 0:
+        return key, np.empty(0, np.intp), np.empty(0, np.intp)
+    small = np.min_scalar_type(int(server.max()))
+    order = np.argsort(server.astype(small), kind="stable")
+    ordered = key[order]
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    inverse = np.empty(ordered.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=ordered.size)
+    return ordered[starts], inverse, counts
+
+
 def _decompose_phase(
     phase: RequestBatch, rank: int, cfg: ClusterConfig, loads: _Loads
 ) -> Dict[str, float]:
@@ -136,11 +163,10 @@ def _decompose_phase(
         return {"msgs": 0.0, "work": 0.0, "req_wire": 0.0, "resp_wire": 0.0}
     unit = pieces.offsets // ssize
     server = ((cfg.stripe.base + unit % pcount) % cfg.n_iods).astype(np.int64)
-    chunk = phase.chunk_of_region[parents]
-    key = server * np.int64(phase.n_requests) + chunk
-    uniq, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    msg_server = (uniq // phase.n_requests).astype(np.int64)
-    msg_bytes = np.bincount(inverse, weights=pieces.lengths.astype(np.float64))
+    uniq, inverse, counts = _messages(server, phase.chunk_of_region[parents], phase.n_requests)
+    msg_server = uniq // phase.n_requests
+    lengths = pieces.lengths.astype(np.float64)
+    msg_bytes = np.bincount(inverse, weights=lengths)
     # -- wire sizing per message --------------------------------------
     if phase.wire_mode == "descriptor":
         trailing = np.full(len(uniq), 32.0)
@@ -156,33 +182,27 @@ def _decompose_phase(
     resp_wire = _wire(cfg, resp_payload)
     # -- accumulate -----------------------------------------------------
     ns = cfg.n_iods
-    loads.msgs += np.bincount(msg_server, minlength=ns)
+    server_msgs = np.bincount(msg_server, minlength=ns)
+    server_bytes = np.bincount(server, weights=lengths, minlength=ns)
+    loads.msgs += server_msgs
     loads.pieces += np.bincount(server, minlength=ns)
-    loads.bytes += np.bincount(server, weights=pieces.lengths.astype(np.float64), minlength=ns)
+    loads.bytes += server_bytes
     if phase.kind == "write":
-        loads.write_msgs += np.bincount(msg_server, minlength=ns)
-        loads.write_bytes += np.bincount(
-            server, weights=pieces.lengths.astype(np.float64), minlength=ns
-        )
+        loads.write_msgs += server_msgs
+        loads.write_bytes += server_bytes
     else:
-        loads.read_bytes += np.bincount(
-            server, weights=pieces.lengths.astype(np.float64), minlength=ns
-        )
+        loads.read_bytes += server_bytes
     loads.rx_wire += np.bincount(msg_server, weights=req_wire, minlength=ns)
     loads.tx_wire += np.bincount(msg_server, weights=resp_wire, minlength=ns)
     loads.client_tx[rank] += req_wire.sum()
     loads.client_rx[rank] += resp_wire.sum()
     # -- rank-local -------------------------------------------------------
     costs = cfg.costs
+    nbytes = float(pieces.lengths.sum())
     work = (
         len(uniq) * costs.iod_request_cost
         + pieces.count * costs.iod_region_cost
-        + _disk_time_estimate(
-            cfg,
-            kind=phase.kind,
-            nbytes=float(pieces.lengths.sum()),
-            unique_bytes=float(pieces.lengths.sum()),
-        )
+        + _disk_time_estimate(cfg, kind=phase.kind, nbytes=nbytes, unique_bytes=nbytes)
     )
     if phase.kind == "write":
         work += len(uniq) * costs.iod_write_commit_cost

@@ -477,8 +477,10 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
     lengths)`` of contiguous pieces such that copying piece-by-piece realizes
     the full noncontiguous transfer.
 
-    Vectorized: piece boundaries are the union of both lists' cumulative
-    length breakpoints.
+    Vectorized: piece boundaries are a linear merge of the two
+    cumulative-length lists (both strictly increasing once empty regions
+    are dropped, so a stable sort of their concatenation merges two sorted
+    runs in one pass, and equal neighbours are shared breakpoints).
     """
     a = a.drop_empty()
     b = b.drop_empty()
@@ -491,9 +493,13 @@ def pair_pieces(a: RegionList, b: RegionList) -> Tuple[np.ndarray, np.ndarray, n
         return z, z.copy(), z.copy()
     cum_a = np.cumsum(a.lengths)
     cum_b = np.cumsum(b.lengths)
-    bounds = np.union1d(cum_a, cum_b)  # sorted piece end positions
-    piece_end = bounds
-    piece_start = np.concatenate(([0], bounds[:-1]))
+    merged = np.concatenate((cum_a, cum_b))
+    merged.sort(kind="stable")
+    keep = np.empty(merged.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    piece_end = merged[keep]  # sorted, distinct piece end positions
+    piece_start = np.concatenate(([0], piece_end[:-1]))
     piece_len = piece_end - piece_start
     # Source region for each piece: the region whose cumulative range
     # contains piece_start.

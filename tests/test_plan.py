@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ClusterConfig
-from repro.core import METHODS, DataSievingIO, HybridIO, MultipleIO, VectorIO
+from repro.core import METHODS, DataSievingIO, HybridIO, MultipleIO, RequestBatch, VectorIO
+from repro.core.base import single_batch_plan
 from repro.errors import RegionError
 from repro.experiments.harness import des_point
-from repro.model import compile_rank_plan, predict_pattern
+from repro.model import compile_rank_plan, predict_pattern, predict_plans
 from repro.patterns import one_dim_cyclic
 from repro.patterns.base import Pattern, RankAccess
 from repro.pvfs import Cluster
@@ -178,6 +179,46 @@ class TestVectorPlan:
         assert VectorIO(fallback=True).plan(
             kind, RegionList.single(0, 15), IRREGULAR, cfg
         ).batches[0].wire_mode == "per_region"
+
+
+class _ReorderedRequests(MultipleIO):
+    """Multiple I/O whose plan numbers its requests last to first."""
+
+    def plan(self, kind, mem_regions, file_regions, config):
+        batch = super().plan(kind, mem_regions, file_regions, config).batches[0]
+        chunks = batch.n_requests - 1 - batch.chunk_of_region
+        return single_batch_plan(kind, batch.regions, chunks, copy=False)
+
+
+class TestChunkInvariant:
+    """Request ids are monotone and 0-based: the model groups pieces into
+    messages by relying on it, so a plan that breaks it is rejected."""
+
+    @pytest.mark.parametrize("chunks", [[1, 1, 2], [0, 2, 1], [0, 1, 1, 0]])
+    def test_batch_rejects_bad_request_ids(self, chunks):
+        regions = RegionList.strided(0, len(chunks), 4, 8)
+        with pytest.raises(RegionError, match="monotone"):
+            RequestBatch("read", regions, np.array(chunks))
+
+    def test_batch_accepts_repeats_and_empty(self):
+        batch = RequestBatch("read", RegionList.strided(0, 3, 4, 8), np.array([0, 0, 1]))
+        assert batch.n_requests == 2
+        assert RequestBatch("write", RegionList.empty(), np.empty(0, np.int64)).n_requests == 0
+
+    def test_decreasing_ids_rejected_by_both_interpreters(self):
+        fil = RegionList.strided(0, 4, 8, 20)
+        mem = RegionList.single(0, fil.total_bytes)
+        cfg = ClusterConfig.chiba_city(n_clients=1)
+        with pytest.raises(RegionError, match="monotone"):
+            predict_plans([_ReorderedRequests().plan("read", mem, fil, cfg)], cfg)
+        cluster = Cluster.build(cfg)
+
+        def wl(client):
+            f = yield from client.open("/bad", create=True)
+            yield from _ReorderedRequests().read(f, None, mem, fil)
+
+        with pytest.raises(RegionError, match="monotone"):
+            cluster.run_workload(wl, clients=[0])
 
 
 class TestOptionNamespace:

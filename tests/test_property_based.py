@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, StripeParams
+from repro.model.predict import _messages
 from repro.regions import (
     RegionList,
     build_flat_indices,
@@ -156,6 +157,82 @@ class TestPairPiecesProperties:
             np.testing.assert_array_equal(ia[pos : pos + k], np.arange(x, x + k))
             np.testing.assert_array_equal(ib[pos : pos + k], np.arange(y, y + k))
             pos += k
+
+
+def _pair_pieces_union1d(a, b):
+    """The set-union pairing that ``pair_pieces``' linear merge replaced."""
+    a, b = a.drop_empty(), b.drop_empty()
+    if a.total_bytes == 0:
+        z = np.empty(0, np.int64)
+        return z, z.copy(), z.copy()
+    cum_a, cum_b = np.cumsum(a.lengths), np.cumsum(b.lengths)
+    piece_end = np.union1d(cum_a, cum_b)
+    piece_start = np.concatenate(([0], piece_end[:-1]))
+    ia = np.searchsorted(cum_a, piece_start, side="right")
+    ib = np.searchsorted(cum_b, piece_start, side="right")
+    base_a = np.concatenate(([0], cum_a[:-1]))
+    base_b = np.concatenate(([0], cum_b[:-1]))
+    return (
+        a.offsets[ia] + (piece_start - base_a[ia]),
+        b.offsets[ib] + (piece_start - base_b[ib]),
+        piece_end - piece_start,
+    )
+
+
+@st.composite
+def equal_volume_pairs(draw, max_total=400, max_cuts=12):
+    """Two region lists over one byte stream, cut independently: cuts may
+    repeat (zero-length regions), be shared by both sides (common
+    breakpoints) or be absent (one-region side); ``total`` may be 0."""
+    total = draw(st.integers(0, max_total))
+
+    def side(shared):
+        own = draw(st.lists(st.integers(0, total), max_size=max_cuts))
+        picked = draw(st.lists(st.sampled_from(shared), max_size=4)) if shared else []
+        lens = np.diff([0] + sorted(own + picked) + [total])
+        gaps = draw(st.lists(st.integers(0, 50), min_size=len(lens), max_size=len(lens)))
+        offs = np.cumsum(np.array(gaps) + np.concatenate(([0], lens[:-1])))
+        return RegionList(offs, lens), sorted(own)
+
+    a, cuts_a = side([])
+    b, _ = side(cuts_a)
+    return a, b
+
+
+class TestPairPiecesEquivalence:
+    @given(equal_volume_pairs())
+    @settings(max_examples=300)
+    def test_merge_equals_union1d_reference(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            got = pair_pieces(x, y)
+            want = _pair_pieces_union1d(x, y)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+
+class TestMessageGrouping:
+    @given(
+        st.integers(1, 300),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 299)), max_size=80),
+    )
+    @settings(max_examples=300)
+    def test_messages_equal_np_unique(self, n_servers, steps):
+        """Random servers with non-decreasing request ids: one server, one
+        request and many servers all appear."""
+        chunk = np.cumsum([step for step, _ in steps], dtype=np.int64)
+        if chunk.size:
+            chunk -= chunk[0]
+        server = np.array([s % n_servers for _, s in steps], dtype=np.int64)
+        n_requests = int(chunk[-1]) + 1 if chunk.size else 1
+        got = _messages(server, chunk, n_requests)
+        want = np.unique(
+            server * np.int64(n_requests) + chunk, return_inverse=True, return_counts=True
+        )
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------
