@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -82,9 +82,9 @@ def _wire(cfg: ClusterConfig, payload):
 
 
 class _Loads:
-    """Accumulated per-server and per-client load totals."""
+    """Accumulated per-server load totals."""
 
-    def __init__(self, n_servers: int, n_clients: int) -> None:
+    def __init__(self, n_servers: int) -> None:
         self.msgs = np.zeros(n_servers)
         self.pieces = np.zeros(n_servers)
         self.bytes = np.zeros(n_servers)
@@ -93,8 +93,6 @@ class _Loads:
         self.read_bytes = np.zeros(n_servers)
         self.rx_wire = np.zeros(n_servers)  # into servers
         self.tx_wire = np.zeros(n_servers)  # out of servers
-        self.client_tx = np.zeros(n_clients)
-        self.client_rx = np.zeros(n_clients)
 
 
 def _merge(kind: str, batches: List[RequestBatch]) -> RequestBatch:
@@ -152,9 +150,7 @@ def _messages(
     return ordered[starts], inverse, counts
 
 
-def _decompose_phase(
-    phase: RequestBatch, rank: int, cfg: ClusterConfig, loads: _Loads
-) -> Dict[str, float]:
+def _decompose_phase(phase: RequestBatch, cfg: ClusterConfig, loads: _Loads) -> Dict[str, float]:
     """Attribute one phase's load to servers/links; return rank-local stats."""
     pcount = cfg.stripe.resolve_pcount(cfg.n_iods)
     ssize = cfg.stripe.stripe_size
@@ -194,8 +190,6 @@ def _decompose_phase(
         loads.read_bytes += server_bytes
     loads.rx_wire += np.bincount(msg_server, weights=req_wire, minlength=ns)
     loads.tx_wire += np.bincount(msg_server, weights=resp_wire, minlength=ns)
-    loads.client_tx[rank] += req_wire.sum()
-    loads.client_rx[rank] += resp_wire.sum()
     # -- rank-local -------------------------------------------------------
     costs = cfg.costs
     nbytes = float(pieces.lengths.sum())
@@ -232,24 +226,35 @@ def _disk_time_estimate(cfg: ClusterConfig, kind: str, nbytes: float, unique_byt
     return memcpy + media + positionings * disk.positioning_time
 
 
-def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
-    """Predict the elapsed time of one parallel transfer phase-set."""
-    if not plans:
-        raise ModelError("predict_plans needs at least one rank plan")
-    n_clients = len(plans)
-    loads = _Loads(cfg.n_iods, n_clients)
-    client_paths = np.zeros(n_clients)
+def predict_plans(plans: Iterable[RankPlan], cfg: ClusterConfig) -> Prediction:
+    """Predict the elapsed time of one parallel transfer phase-set.
+
+    ``plans`` (one per rank, in rank order) are priced in a single pass,
+    so a generator keeps only one rank's plan alive at a time."""
+    loads = _Loads(cfg.n_iods)
+    client_paths, client_tx, client_rx = [], [], []
     total_requests = 0
     total_msgs = 0
     moved = 0
     useful = 0
-    serialized = any(p.serialized for p in plans)
+    serialized = False
+    # Extent and volume of every read batch, for the shared-cache cap below.
+    read_lo, read_hi, read_total = math.inf, 0, 0
     costs = cfg.costs
     bw = cfg.network.bandwidth
-    for rank, plan in enumerate(plans):
+    for plan in plans:
         useful += plan.useful_bytes
+        serialized = serialized or plan.serialized
+        for batch in plan.batches:
+            if batch.kind == "read" and batch.regions.count:
+                a, b = batch.regions.extent
+                read_lo, read_hi = min(read_lo, a), max(read_hi, b)
+                read_total += batch.regions.total_bytes
+        path = tx = rx = 0.0
         for phase, copy in _phases(plan):
-            stats = _decompose_phase(phase, rank, cfg, loads)
+            stats = _decompose_phase(phase, cfg, loads)
+            tx += stats["req_wire"]
+            rx += stats["resp_wire"]
             moved += phase.regions.total_bytes
             n_req = phase.n_requests
             total_requests += n_req
@@ -257,7 +262,7 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
             if n_req == 0:
                 continue
             fanout = max(stats["msgs"] / n_req, 1.0)
-            path = (
+            step = (
                 n_req * (costs.client_request_cost + 2 * cfg.network.latency)
                 + phase.regions.count * costs.client_region_cost
                 + (stats["req_wire"] + stats["resp_wire"]) / bw
@@ -265,15 +270,23 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
                 + copy / costs.memcpy_rate
             )
             if phase.kind == "write":
-                path += n_req * costs.client_write_turnaround
-            client_paths[rank] += path
+                step += n_req * costs.client_write_turnaround
+            path += step
+        client_paths.append(path)
+        client_tx.append(tx)
+        client_rx.append(rx)
+    if not client_paths:
+        raise ModelError("predict_plans needs at least one rank plan")
+    n_clients = len(client_paths)
+    client_paths = np.array(client_paths)
 
     # -- server bound -----------------------------------------------------
     # Shared-cache correction: when several ranks fetch the same bytes
     # (sieving reads overlapping windows), only first touches hit media.
     # Approximate unique read bytes per server by capping at the striped
     # share of the union extent.
-    union_cap = _union_extent_bytes(plans) / max(cfg.stripe.resolve_pcount(cfg.n_iods), 1)
+    union = float(min(read_total, read_hi - read_lo)) if read_hi else 0.0
+    union_cap = union / max(cfg.stripe.resolve_pcount(cfg.n_iods), 1)
     server_work = np.zeros(cfg.n_iods)
     for s in range(cfg.n_iods):
         read_unique = min(loads.read_bytes[s], union_cap)
@@ -289,7 +302,7 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
 
     # -- network bound ------------------------------------------------------
     link_times = np.concatenate(
-        [loads.rx_wire, loads.tx_wire, loads.client_tx, loads.client_rx]
+        [loads.rx_wire, loads.tx_wire, np.array(client_tx), np.array(client_rx)]
     ) / bw
     network_bound = float(link_times.max())
 
@@ -314,22 +327,6 @@ def predict_plans(plans: List[RankPlan], cfg: ClusterConfig) -> Prediction:
         per_server_work=server_work.tolist(),
         per_client_path=client_paths.tolist(),
     )
-
-
-def _union_extent_bytes(plans: List[RankPlan]) -> float:
-    """Upper estimate of distinct file bytes read across all phases."""
-    lo, hi = math.inf, 0
-    total = 0
-    for plan in plans:
-        for batch in plan.batches:
-            if batch.kind != "read" or batch.regions.count == 0:
-                continue
-            a, b = batch.regions.extent
-            lo, hi = min(lo, a), max(hi, b)
-            total += batch.regions.total_bytes
-    if hi == 0:
-        return 0.0
-    return float(min(total, hi - lo))
 
 
 def compile_rank_plan(
@@ -363,8 +360,8 @@ def predict_pattern(
         from .twophase import predict_twophase
 
         return predict_twophase(pattern, kind, cfg, **opts)
-    plans = [
+    plans = (
         compile_rank_plan(method, kind, a.mem_regions, a.file_regions, cfg, **opts)
         for a in pattern.accesses
-    ]
+    )
     return predict_plans(plans, cfg)

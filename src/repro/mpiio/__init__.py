@@ -3,10 +3,12 @@
 from .file import MPIFile, MPIIOError, open_one
 from .twophase import (
     CollectiveContext,
+    CollectivePlan,
     Exchange,
     collective_read,
     collective_write,
     partition_file_domains,
+    plan_collective,
     round_count,
     round_window,
     select_aggregators,
@@ -19,10 +21,12 @@ __all__ = [
     "open_one",
     "FileView",
     "CollectiveContext",
+    "CollectivePlan",
     "Exchange",
     "collective_read",
     "collective_write",
     "partition_file_domains",
+    "plan_collective",
     "round_count",
     "round_window",
     "select_aggregators",

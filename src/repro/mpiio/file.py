@@ -35,30 +35,15 @@ from ..mpi import Communicator
 from ..pvfs.client import PVFSFile
 from ..regions import build_flat_indices
 from .twophase import (
-    DATA_HEADER,
-    META_BYTES_PER_REGION,
-    META_HEADER,
     CollectiveContext,
-    Exchange,
     MPIIOError,
     collective_read,
     collective_write,
-    partition_file_domains,
     select_aggregators,
-    stream_positions,
 )
 from .view import FileView
 
 __all__ = ["MPIIOError", "MPIFile", "open_one"]
-
-# Backwards-compatible aliases: the exchange machinery moved to
-# ``repro.mpiio.twophase`` when two-phase became a first-class method.
-_Exchange = Exchange
-_CollectiveContext = CollectiveContext
-_stream_positions = stream_positions
-_META_BYTES_PER_REGION = META_BYTES_PER_REGION
-_META_HEADER = META_HEADER
-_DATA_HEADER = DATA_HEADER
 
 
 class MPIFile:
@@ -165,13 +150,6 @@ class MPIFile:
     # ------------------------------------------------------------------
     # Two-phase collective operations (engine: repro.mpiio.twophase)
     # ------------------------------------------------------------------
-    def _domains(self, metas):
-        """Per-rank file domains for one collective (kept for callers of
-        the pre-refactor private API)."""
-        return partition_file_domains(
-            metas, self.comm.size, self.cb_nodes, self.f.stripe.stripe_size
-        )
-
     def write_at_all(self, offset: int, data: Optional[np.ndarray], nbytes: Optional[int] = None):
         """Collective write via two-phase I/O (process).
 

@@ -1,4 +1,4 @@
-"""Two-phase collective I/O: aggregators, file domains, fabric exchange.
+"""Two-phase collective I/O: one :class:`CollectivePlan`, two interpreters.
 
 This module is the engine behind every collective entry point in the
 repository — :meth:`repro.mpiio.MPIFile.write_at_all` /
@@ -8,8 +8,7 @@ algorithm of Thakur/Gropp/Lusk ("Optimizing Noncontiguous Accesses in
 MPI-IO", see PAPERS.md):
 
 1. **Metadata exchange** — every rank ships its (offset, length) list to
-   every other rank (:func:`exchange_meta`), as real messages through the
-   simulated fabric.
+   every other rank, as real messages through the simulated fabric.
 2. **Aggregator selection + file-domain partitioning** — the first
    ``cb_nodes`` ranks (:func:`select_aggregators`) each own one
    stripe-aligned slice of the aggregate byte range
@@ -24,6 +23,12 @@ MPI-IO", see PAPERS.md):
    buffer size); ``cb_buffer=None`` means an unbounded buffer, i.e. a
    single round over the whole domain.
 
+Once every offset list is known, :func:`plan_collective` decides steps
+2-4 in one place: the domains, the rounds, every exchange message and
+every aggregator's per-round file access.  :func:`collective_write` /
+:func:`collective_read` run that plan in the simulator, and
+:func:`repro.model.predict_twophase` prices the same plan.
+
 All generators here are simulation processes; collectives must be
 entered by every rank of the communicator in the same order.
 """
@@ -31,20 +36,24 @@ entered by every rank of the communicator in the same order.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from ..config import ClusterConfig
+from ..core.base import RankPlan
+from ..core.listio import ListIO
 from ..errors import PVFSError
 from ..mpi import Communicator
 from ..regions import RegionList, build_flat_indices
 from ..simulate import Event
 
 __all__ = [
-    "META_BYTES_PER_REGION",
-    "META_HEADER",
-    "DATA_HEADER",
     "MPIIOError",
+    "Message",
+    "CollectivePlan",
+    "plan_collective",
     "Exchange",
     "CollectiveContext",
     "stream_positions",
@@ -67,121 +76,9 @@ class MPIIOError(PVFSError):
     """MPI-IO layer misuse (mismatched collectives, bad views, ...)."""
 
 
-class Exchange:
-    """Scratch state shared by all ranks for ONE collective operation.
-
-    Contributions and replies are keyed by arbitrary hashables so one
-    exchange can span several collective-buffer rounds (the engine keys
-    them by ``(rank, round)``).
-    """
-
-    def __init__(self, sim, size: int) -> None:
-        self.sim = sim
-        self.size = size
-        self.meta: Dict[int, RegionList] = {}
-        self.meta_event = Event(sim)
-        self.contributions: Dict[Hashable, List[Tuple[int, RegionList, Optional[np.ndarray]]]] = (
-            defaultdict(list)
-        )
-        self._arrival_events: Dict[Hashable, Event] = {}
-        self._expected: Dict[Hashable, int] = {}
-        # read path: (requester key, aggregator) -> (regions, data)
-        self.replies: Dict[Tuple[Hashable, int], Tuple[RegionList, Optional[np.ndarray]]] = {}
-        self._reply_events: Dict[Hashable, Event] = {}
-        self._reply_expected: Dict[Hashable, int] = {}
-
-    # -- metadata ------------------------------------------------------
-    def deposit_meta(self, rank: int, regions: RegionList) -> None:
-        if rank in self.meta:
-            raise MPIIOError(f"rank {rank} entered the collective twice")
-        self.meta[rank] = regions
-        if len(self.meta) == self.size:
-            self.meta_event.succeed(dict(self.meta))
-
-    # -- write-side contributions ---------------------------------------
-    def expect_contributions(self, key: Hashable, n: int) -> Event:
-        ev = self._arrival_events.setdefault(key, Event(self.sim))
-        self._expected[key] = n
-        self._maybe_fire(key)
-        return ev
-
-    def deposit_contribution(
-        self,
-        key: Hashable,
-        src: int,
-        regions: RegionList,
-        data: Optional[np.ndarray],
-    ) -> None:
-        self.contributions[key].append((src, regions, data))
-        self._maybe_fire(key)
-
-    def _maybe_fire(self, key: Hashable) -> None:
-        ev = self._arrival_events.get(key)
-        expected = self._expected.get(key)
-        if ev is None or expected is None or ev.triggered:
-            return
-        if len(self.contributions[key]) >= expected:
-            self.contributions[key].sort(key=lambda t: t[0])
-            ev.succeed(self.contributions[key])
-
-    # -- read-side replies ----------------------------------------------
-    def expect_replies(self, key: Hashable, n: int) -> Event:
-        ev = self._reply_events.setdefault(key, Event(self.sim))
-        self._reply_expected[key] = n
-        self._maybe_reply(key)
-        return ev
-
-    def deposit_reply(
-        self,
-        key: Hashable,
-        aggregator: int,
-        regions: RegionList,
-        data: Optional[np.ndarray],
-    ) -> None:
-        self.replies[(key, aggregator)] = (regions, data)
-        self._maybe_reply(key)
-
-    def _maybe_reply(self, key: Hashable) -> None:
-        ev = self._reply_events.get(key)
-        expected = self._reply_expected.get(key)
-        if ev is None or expected is None or ev.triggered:
-            return
-        got = [
-            (agg, *self.replies[(req, agg)]) for (req, agg) in self.replies if req == key
-        ]
-        if len(got) >= expected:
-            got.sort(key=lambda t: t[0])
-            ev.succeed(got)
-
-
-class CollectiveContext:
-    """Per-(file, communicator) registry matching each rank's k-th
-    collective call to a shared :class:`Exchange`."""
-
-    def __init__(self, sim, comm: Communicator) -> None:
-        self.sim = sim
-        self.comm = comm
-        self._slots: Dict[Tuple[str, int], Exchange] = {}
-        self._calls: Dict[Tuple[str, int], int] = defaultdict(int)
-
-    def slot(self, kind: str, rank: int) -> Exchange:
-        gen = self._calls[(kind, rank)]
-        self._calls[(kind, rank)] += 1
-        key = (kind, gen)
-        if key not in self._slots:
-            self._slots[key] = Exchange(self.sim, self.comm.size)
-        return self._slots[key]
-
-
-def stream_positions(regions: RegionList, clipped: RegionList) -> np.ndarray:
-    """Stream offsets (within ``regions``' byte stream) of each clipped
-    piece.  ``regions`` must be sorted & disjoint; ``clipped`` must be a
-    sub-list of it (as produced by ``regions.clip``)."""
-    if clipped.count == 0:
-        return np.empty(0, np.int64)
-    starts = np.concatenate(([0], np.cumsum(regions.lengths)[:-1]))
-    idx = np.searchsorted(regions.ends, clipped.offsets, side="right")
-    return starts[idx] + (clipped.offsets - regions.offsets[idx])
+def _meta_nbytes(regions: RegionList) -> int:
+    """Bytes of one rank's offset-list message."""
+    return META_HEADER + META_BYTES_PER_REGION * regions.count
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +94,7 @@ def select_aggregators(comm_size: int, cb_nodes: Optional[int] = None) -> Tuple[
 
 
 def partition_file_domains(
-    metas: Dict[int, RegionList],
+    metas: Mapping[int, RegionList],
     comm_size: int,
     cb_nodes: int,
     align: int,
@@ -255,60 +152,244 @@ def round_window(domain: Tuple[int, int], rnd: int, cb_buffer: Optional[int]) ->
 
 
 # ----------------------------------------------------------------------
-# The exchange/redistribution engine
+# The plan
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Message:
+    """One redistribution message: ``src`` ships ``dst`` the bytes of
+    ``regions`` (contributions on writes, replies on reads)."""
+
+    src: int
+    dst: int
+    regions: RegionList
+    #: Bytes on the fabric: header, the region list on writes, and data.
+    nbytes: int
+
+
+@dataclass
+class CollectivePlan:
+    """Everything one collective does after the metadata exchange."""
+
+    kind: str  # "read" | "write"
+    domains: List[Tuple[int, int]]
+    #: Offset-list message size of every rank.
+    meta_bytes: List[int]
+    #: ``outbox[rnd][src]``: the round's messages from ``src``, by
+    #: destination (self-messages included; they cross no wire).
+    outbox: List[List[List[Message]]]
+    #: ``fan_in[rnd][dst]``: how many of the round's messages ``dst`` gets.
+    fan_in: List[List[int]]
+    #: ``accesses[rnd][rank]``: the coalesced file regions the rank
+    #: accesses as an aggregator in that round (empty when idle).
+    accesses: List[List[RegionList]]
+
+    @property
+    def rounds(self) -> int:
+        return len(self.accesses)
+
+    def messages(self) -> Iterator[Message]:
+        """Every message, by round, then source, then destination."""
+        for box in self.outbox:
+            for sent in box:
+                yield from sent
+
+    def aggregator_plan(self, rank: int, config: ClusterConfig) -> RankPlan:
+        """The rank's file phase: one list-I/O batch per non-empty round."""
+        listio = ListIO(split_memory_regions=False)
+        steps, useful = [], 0
+        for per_rank in self.accesses:
+            access = per_rank[rank]
+            if access.count:
+                one = listio.plan(
+                    self.kind, RegionList.single(0, access.total_bytes), access, config
+                )
+                steps += one.steps
+                useful += one.useful_bytes
+        return RankPlan(self.kind, steps, useful_bytes=useful)
+
+
+def _clip_all(regions: RegionList, windows: List[Tuple[int, int]]) -> List[RegionList]:
+    """``[regions.clip(a, b) for a, b in windows]`` for a sorted, disjoint
+    list: a binary search narrows each clip to the regions it can touch."""
+    starts = np.array([a for a, _ in windows], np.int64)
+    stops = np.array([b for _, b in windows], np.int64)
+    first = np.searchsorted(regions.ends, starts, side="right")
+    last = np.searchsorted(regions.offsets, stops, side="left")
+    return [
+        regions.slice_regions(i, j).clip(a, b) if j > i else RegionList.empty()
+        for i, j, (a, b) in zip(first.tolist(), last.tolist(), windows)
+    ]
+
+
+def plan_collective(
+    kind: str,
+    metas: Mapping[int, RegionList],
+    n_aggregators: int,
+    stripe_size: int,
+    cb_buffer: Optional[int],
+) -> CollectivePlan:
+    """Plan one collective from every rank's sorted, disjoint file regions
+    (``metas[rank]`` for ranks ``0..n-1``)."""
+    n = len(metas)
+    domains = partition_file_domains(metas, n, n_aggregators, stripe_size)
+    outbox, fan_in, accesses = [], [], []
+    for rnd in range(round_count(domains, cb_buffer)):
+        windows = [round_window(d, rnd, cb_buffer) for d in domains]
+        # pieces[r][a]: rank r's regions inside aggregator a's window
+        pieces = [_clip_all(metas[r], windows) for r in range(n)]
+        box: List[List[Message]] = [[] for _ in range(n)]
+        into = [0] * n
+        for r in range(n):
+            for a, got in enumerate(pieces[r]):
+                if got.count == 0:
+                    continue
+                if kind == "write":
+                    nbytes = DATA_HEADER + META_BYTES_PER_REGION * got.count + got.total_bytes
+                    box[r].append(Message(r, a, got, nbytes))
+                    into[a] += 1
+                else:
+                    box[a].append(Message(a, r, got, DATA_HEADER + got.total_bytes))
+                    into[r] += 1
+        merged = [
+            RegionList(
+                np.concatenate([p[a].offsets for p in pieces]),
+                np.concatenate([p[a].lengths for p in pieces]),
+            ).coalesced()
+            for a in range(n)
+        ]
+        outbox.append(box)
+        fan_in.append(into)
+        accesses.append(merged)
+    meta_bytes = [_meta_nbytes(metas[r]) for r in range(n)]
+    return CollectivePlan(kind, domains, meta_bytes, outbox, fan_in, accesses)
+
+
+# ----------------------------------------------------------------------
+# The DES interpreter
+# ----------------------------------------------------------------------
+#: Builds a collective's plan from every rank's offset list.
+Planner = Callable[[Dict[int, RegionList]], CollectivePlan]
+
+
+class Exchange:
+    """Scratch state shared by all ranks for ONE collective operation.
+
+    Holds the ranks' offset lists, the plan ``build`` makes of them once
+    the last one arrives (``meta_event`` succeeds with it), and one
+    mailbox per ``(destination, round)``.
+    """
+
+    def __init__(self, sim, size: int, build: Planner) -> None:
+        self.sim = sim
+        self.size = size
+        self.build = build
+        self.meta: Dict[int, RegionList] = {}
+        self.meta_event = Event(sim)
+        self.plan: Optional[CollectivePlan] = None
+        self._mail: Dict[Tuple[int, int], list] = defaultdict(list)
+        self._events: Dict[Tuple[int, int], Event] = {}
+
+    def deposit_meta(self, rank: int, regions: RegionList) -> None:
+        if rank in self.meta:
+            raise MPIIOError(f"rank {rank} entered the collective twice")
+        self.meta[rank] = regions
+        if len(self.meta) == self.size:
+            self.plan = self.build(self.meta)
+            self.meta_event.succeed(self.plan)
+
+    def expect(self, dst: int, rnd: int) -> Event:
+        """Event that succeeds with ``dst``'s round-``rnd`` messages as
+        ``(src, regions, payload)``, ordered by source."""
+        ev = self._events[(dst, rnd)] = Event(self.sim)
+        self._fire(dst, rnd)
+        return ev
+
+    def deliver(self, rnd: int, msg: Message, payload: Optional[np.ndarray]) -> None:
+        self._mail[(msg.dst, rnd)].append((msg.src, msg.regions, payload))
+        self._fire(msg.dst, rnd)
+
+    def _fire(self, dst: int, rnd: int) -> None:
+        ev = self._events.get((dst, rnd))
+        if ev is None or ev.triggered:
+            return
+        got = self._mail[(dst, rnd)]
+        if len(got) >= self.plan.fan_in[rnd][dst]:
+            got.sort(key=lambda t: t[0])
+            ev.succeed(got)
+
+
+class CollectiveContext:
+    """Per-(file, communicator) registry matching each rank's k-th
+    collective call to a shared :class:`Exchange`."""
+
+    def __init__(self, sim, comm: Communicator) -> None:
+        self.sim = sim
+        self.comm = comm
+        self._slots: Dict[Tuple[str, int], Exchange] = {}
+        self._calls: Dict[Tuple[str, int], int] = defaultdict(int)
+
+    def slot(self, kind: str, rank: int, build: Planner) -> Exchange:
+        gen = self._calls[(kind, rank)]
+        self._calls[(kind, rank)] += 1
+        key = (kind, gen)
+        if key not in self._slots:
+            self._slots[key] = Exchange(self.sim, self.comm.size, build)
+        return self._slots[key]
+
+
+def stream_positions(regions: RegionList, clipped: RegionList) -> np.ndarray:
+    """Stream offsets (within ``regions``' byte stream) of each clipped
+    piece.  ``regions`` must be sorted & disjoint; ``clipped`` must be a
+    sub-list of it (as produced by ``regions.clip``)."""
+    if clipped.count == 0:
+        return np.empty(0, np.int64)
+    starts = np.concatenate(([0], np.cumsum(regions.lengths)[:-1]))
+    idx = np.searchsorted(regions.ends, clipped.offsets, side="right")
+    return starts[idx] + (clipped.offsets - regions.offsets[idx])
+
+
+def _flat(regions: RegionList, piece: RegionList) -> np.ndarray:
+    """Flat indices of ``piece``'s bytes within ``regions``' stream."""
+    return build_flat_indices(stream_positions(regions, piece), piece.lengths)
+
+
 def _node_of(f, rank: int):
     return f.client.cluster.clients[rank].node
 
 
-def exchange_meta(f, comm: Communicator, rank: int, regions: RegionList):
-    """Phase 0 (process): ship this rank's offset list to every peer."""
+def _enter(f, comm: Communicator, rank: int, ctx, kind, regions, cb_nodes, cb_buffer):
+    """Phase 0 (process): join the collective, ship this rank's offset
+    list to every peer, and return the exchange and the plan."""
+    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
+    stripe_size = f.stripe.stripe_size
+
+    def build(metas):
+        return plan_collective(kind, metas, n_aggregators, stripe_size, cb_buffer)
+
+    ex = ctx.slot(kind, rank, build)
+    ex.deposit_meta(rank, regions)
     sim = f.client.sim
     net = f.client.cluster.net
-    meta_bytes = META_HEADER + META_BYTES_PER_REGION * regions.count
+    nbytes = _meta_nbytes(regions)
     sends = [
-        sim.process(net.transfer(_node_of(f, rank), _node_of(f, d), meta_bytes))
+        sim.process(net.transfer(_node_of(f, rank), _node_of(f, d), nbytes))
         for d in range(comm.size)
         if d != rank
     ]
     if sends:
         yield sim.all_of(sends)
+    plan = yield ex.meta_event
+    return ex, plan
 
 
-def _ship_contribution(f, ex: Exchange, key, src: int, aggregator: int, regions, payload):
-    nbytes = DATA_HEADER + META_BYTES_PER_REGION * regions.count + regions.total_bytes
-    if aggregator != src:
-        yield from f.client.cluster.net.transfer(_node_of(f, src), _node_of(f, aggregator), nbytes)
+def _ship(f, ex: Exchange, rnd: int, msg: Message, payload):
+    if msg.dst != msg.src:
+        yield from f.client.cluster.net.transfer(
+            _node_of(f, msg.src), _node_of(f, msg.dst), msg.nbytes
+        )
     else:
         yield f.client.sim.timeout(0)
-    ex.deposit_contribution(key, src, regions, payload)
-
-
-def _ship_reply(f, ex: Exchange, key, src: int, requester: int, regions, payload):
-    nbytes = DATA_HEADER + regions.total_bytes
-    if requester != src:
-        yield from f.client.cluster.net.transfer(_node_of(f, src), _node_of(f, requester), nbytes)
-    else:
-        yield f.client.sim.timeout(0)
-    ex.deposit_reply(key, src, regions, payload)
-
-
-def _assemble(client, contribs):
-    """Merge contribution region lists; fill the aggregation buffer."""
-    pieces = RegionList.empty()
-    for _src, regions, _payload in contribs:
-        pieces = pieces.concat(regions)
-    merged = pieces.coalesced()
-    buffer = None
-    if client.move_bytes:
-        buffer = np.zeros(merged.total_bytes, np.uint8)
-        for _src, regions, payload in contribs:
-            if payload is None:
-                continue
-            pos = stream_positions(merged, regions)
-            idx = build_flat_indices(pos, regions.lengths)
-            buffer[idx] = payload
-    return merged, buffer
+    ex.deliver(rnd, msg, payload)
 
 
 def collective_write(
@@ -331,44 +412,31 @@ def collective_write(
     """
     client = f.client
     sim = client.sim
-    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
-    ex = ctx.slot("write", rank)
-
-    # -- phase 0: metadata exchange (offset lists, all-to-all) -------
-    ex.deposit_meta(rank, regions)
-    yield from exchange_meta(f, comm, rank, regions)
-    metas = yield ex.meta_event
-    domains = partition_file_domains(metas, comm.size, n_aggregators, f.stripe.stripe_size)
-
-    for rnd in range(round_count(domains, cb_buffer)):
-        windows = [round_window(d, rnd, cb_buffer) for d in domains]
+    ex, plan = yield from _enter(f, comm, rank, ctx, "write", regions, cb_nodes, cb_buffer)
+    move = client.move_bytes and stream is not None
+    for rnd in range(plan.rounds):
         # -- phase 1: redistribute this round's data to aggregators --
-        wa, wb = windows[rank]
-        expected = sum(1 for r in metas.values() if r.clip(wa, wb).count > 0)
-        arrival = ex.expect_contributions((rank, rnd), expected)
-        send_procs = []
-        for d, (a, b) in enumerate(windows):
-            mine = regions.clip(a, b)
-            if mine.count == 0:
-                continue
-            payload = None
-            if client.move_bytes and stream is not None:
-                pos = stream_positions(regions, mine)
-                idx = build_flat_indices(pos, mine.lengths)
-                payload = np.ascontiguousarray(stream[idx])
-            send_procs.append(
-                sim.process(_ship_contribution(f, ex, (d, rnd), rank, d, mine, payload))
-            )
-        if send_procs:
-            yield sim.all_of(send_procs)
+        arrival = ex.expect(rank, rnd)
+        sends = []
+        for msg in plan.outbox[rnd][rank]:
+            payload = np.ascontiguousarray(stream[_flat(regions, msg.regions)]) if move else None
+            sends.append(sim.process(_ship(f, ex, rnd, msg, payload)))
+        if sends:
+            yield sim.all_of(sends)
 
         # -- phase 2: aggregate and write my window ------------------
         contribs = yield arrival
-        if contribs:
-            merged, buffer = _assemble(client, contribs)
+        access = plan.accesses[rnd][rank]
+        if access.count:
+            buffer = None
+            if client.move_bytes:
+                buffer = np.zeros(access.total_bytes, np.uint8)
+                for _src, got, payload in contribs:
+                    if payload is not None:
+                        buffer[_flat(access, got)] = payload
             # assembly cost
-            yield sim.timeout(merged.total_bytes / client.costs.memcpy_rate)
-            yield from f.write_list(merged, buffer)
+            yield sim.timeout(access.total_bytes / client.costs.memcpy_rate)
+            yield from f.write_list(access, buffer)
     yield comm.barrier()
 
 
@@ -386,60 +454,34 @@ def collective_read(
     byte stream (``None`` on timing-only clusters)."""
     client = f.client
     sim = client.sim
-    n_aggregators = len(select_aggregators(comm.size, cb_nodes))
-    ex = ctx.slot("read", rank)
-
-    # -- phase 0: metadata exchange ----------------------------------
-    ex.deposit_meta(rank, regions)
-    yield from exchange_meta(f, comm, rank, regions)
-    metas = yield ex.meta_event
-    domains = partition_file_domains(metas, comm.size, n_aggregators, f.stripe.stripe_size)
-
+    ex, plan = yield from _enter(f, comm, rank, ctx, "read", regions, cb_nodes, cb_buffer)
+    # Replies leave in the order the ranks entered the collective.
+    entered = {r: i for i, r in enumerate(ex.meta)}
     out = None
     if client.move_bytes:
         out = np.zeros(regions.total_bytes, np.uint8)
-    for rnd in range(round_count(domains, cb_buffer)):
-        windows = [round_window(d, rnd, cb_buffer) for d in domains]
-        # how many aggregators will send me data this round?
-        a_mine = sum(1 for (a, b) in windows if regions.clip(a, b).count > 0)
-        reply_ev = ex.expect_replies((rank, rnd), a_mine)
+    for rnd in range(plan.rounds):
+        reply_ev = ex.expect(rank, rnd)
 
         # -- phase 1: aggregator reads its window --------------------
-        wa, wb = windows[rank]
-        domain_union = RegionList.empty()
-        for r in metas.values():
-            domain_union = domain_union.concat(r.clip(wa, wb))
-        domain_union = domain_union.coalesced()
-        if domain_union.count:
-            domain_data = yield from f.read_list(domain_union)
+        access = plan.accesses[rnd][rank]
+        if access.count:
+            data = yield from f.read_list(access)
             # -- phase 2: ship each requester its pieces -------------
             ship = []
-            for requester, want_all in metas.items():
-                want = want_all.clip(wa, wb)
-                if want.count == 0:
-                    continue
+            for msg in sorted(plan.outbox[rnd][rank], key=lambda m: entered[m.dst]):
                 payload = None
-                if client.move_bytes and domain_data is not None:
-                    pos = stream_positions(domain_union, want)
-                    idx = build_flat_indices(pos, want.lengths)
-                    payload = np.ascontiguousarray(domain_data[idx])
-                ship.append(
-                    sim.process(
-                        _ship_reply(f, ex, (requester, rnd), rank, requester, want, payload)
-                    )
-                )
-            if ship:
-                yield sim.all_of(ship)
+                if client.move_bytes and data is not None:
+                    payload = np.ascontiguousarray(data[_flat(access, msg.regions)])
+                ship.append(sim.process(_ship(f, ex, rnd, msg, payload)))
+            yield sim.all_of(ship)
 
         # -- phase 3: assemble my stream from this round's replies ---
         replies = yield reply_ev
         if out is not None:
-            for _agg, got, payload in replies:
-                if payload is None:
-                    continue
-                pos = stream_positions(regions, got)
-                idx = build_flat_indices(pos, got.lengths)
-                out[idx] = payload
+            for _src, got, payload in replies:
+                if payload is not None:
+                    out[_flat(regions, got)] = payload
     if regions.count:
         yield sim.timeout(regions.total_bytes / client.costs.memcpy_rate)
     yield comm.barrier()

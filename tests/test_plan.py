@@ -74,6 +74,26 @@ class TestCountsAgree:
         assert des.server_messages == pred.n_server_messages
 
 
+class TestTwoPhaseCountsAgree:
+    """Two-phase has no per-rank plan: both interpreters read one
+    collective plan, whose aggregators issue one list access per round."""
+
+    @given(
+        st.lists(file_lists(), min_size=1, max_size=4),
+        st.sampled_from([None, 256, 1024]),
+        st.sampled_from(["read", "write"]),
+    )
+    @settings(max_examples=40)
+    def test_des_counts_equal_model_counts(self, lists, cb_buffer, kind):
+        pattern = pattern_of(lists)
+        cfg = ClusterConfig.chiba_city(n_clients=pattern.n_ranks)
+        opts = {"cb_buffer": cb_buffer}
+        des = des_point(pattern, "twophase", kind, cfg, method_opts=opts)
+        pred = predict_pattern(pattern, "twophase", kind, cfg, **opts)
+        assert des.logical_requests == pred.n_logical_requests
+        assert des.server_messages == pred.n_server_messages
+
+
 class TestBytesThroughPlans:
     @given(
         file_lists(max_regions=10, max_gap=100, max_len=90),
